@@ -1,6 +1,6 @@
 """Cost-model ranking overhead and pg_stat ingestion throughput (PR 5).
 
-Three measurements, written to ``BENCH_pr5.json``:
+Three measurements, written to ``BENCH_pr5.json`` under pytest's ``tmp_path``:
 
 * **ranking overhead** — ap-rank over the detections of the PR 1 corpus
   (the ~5k-statement duplicate-heavy GitHub-corpus model) under each cost
@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 from repro import APDetector, DetectorConfig
 from repro.core.sqlcheck import SQLCheck
@@ -32,7 +31,7 @@ from repro.workloads.github_corpus import GitHubCorpusGenerator, with_duplicates
 
 from ._helpers import print_table
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_pr5.json"
+BENCH_NAME = "BENCH_pr5.json"
 
 CORPUS_REPOS = 340
 DUPLICATE_FRACTION = 0.45
@@ -142,7 +141,7 @@ def _measure_multicore(sql: "list[str]") -> dict:
     }
 
 
-def test_cost_model_ranking_overhead_and_pg_stat_throughput():
+def test_cost_model_ranking_overhead_and_pg_stat_throughput(tmp_path):
     sql = _corpus()
     report = APDetector(DetectorConfig(enable_cache=True)).detect(sql)
 
@@ -190,7 +189,7 @@ def test_cost_model_ranking_overhead_and_pg_stat_throughput():
         "pg_stat_reader": pg_stat,
         "multicore": multicore,
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    (tmp_path / BENCH_NAME).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
     base_seconds = ranking["rank_seconds"]["frequency"]
     for model in ("duration", "hybrid"):

@@ -17,7 +17,7 @@ Measures:
   the clean original; the degraded read must recover exactly the clean
   statement fold.
 
-Results are written to ``BENCH_pr6.json``.  Acceptance: quarantine
+Results are written to ``BENCH_pr6.json`` under pytest's ``tmp_path``.  Acceptance: quarantine
 overhead ≤ 5%, and the 5%-corrupted read sustains ≥ 60% of clean
 throughput while recovering the clean statements exactly.
 """
@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 from repro.detector import APDetector, DetectorConfig
 from repro.errors import ErrorBudget
@@ -35,7 +34,7 @@ from repro.testkit import FaultPlan, corrupt_log_lines
 
 from ._helpers import print_table
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_pr6.json"
+BENCH_NAME = "BENCH_pr6.json"
 
 TEMPLATES = 300
 LOG_LINES = 12_000
@@ -146,7 +145,7 @@ def _measure_corrupted_ingestion() -> dict:
     }
 
 
-def test_fault_isolation_overhead_and_degraded_throughput():
+def test_fault_isolation_overhead_and_degraded_throughput(tmp_path):
     corpus = _corpus(TEMPLATES)
 
     # Re-measure if a load spike on a shared runner tanks a ratio: the
@@ -197,7 +196,7 @@ def test_fault_isolation_overhead_and_degraded_throughput():
             "degraded_throughput_floor": DEGRADED_THROUGHPUT_FLOOR,
         },
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    (tmp_path / BENCH_NAME).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
     assert quarantine["overhead_fraction"] <= OVERHEAD_CEILING, (
         f"quarantine wrappers cost {quarantine['overhead_fraction']:.1%} "

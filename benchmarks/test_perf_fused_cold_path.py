@@ -16,7 +16,7 @@ single-CPU container the pool honestly degrades to the serial path and
 records that in ``parallel_mode`` — ``cpu_count`` lands in the payload so
 readers can interpret the numbers.
 
-Results are written to ``BENCH_pr7.json``.  Acceptance: fused cold ≥ 5×
+Results are written to ``BENCH_pr7.json`` under pytest's ``tmp_path``.  Acceptance: fused cold ≥ 5×
 the pre-fusion cold path, byte-identical detections on every path.
 """
 from __future__ import annotations
@@ -24,14 +24,13 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 from repro import APDetector, DetectorConfig
 from repro.workloads.github_corpus import GitHubCorpusGenerator, with_duplicates
 
 from ._helpers import print_table
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_pr7.json"
+BENCH_NAME = "BENCH_pr7.json"
 
 #: ~5.6k unique statements, padded to ~10.3k with 45% exact duplicates —
 #: large enough that the reference path's quadratic workload-fact
@@ -65,7 +64,7 @@ def _measure(sql: list[str]):
     return legacy_seconds, legacy_report, fused_seconds, fused_report
 
 
-def test_fused_cold_path_throughput():
+def test_fused_cold_path_throughput(tmp_path):
     base = GitHubCorpusGenerator(repos=CORPUS_REPOS).generate()
     corpus = with_duplicates(base, fraction=DUPLICATE_FRACTION)
     sql = list(corpus.iter_sql())
@@ -146,7 +145,7 @@ def test_fused_cold_path_throughput():
         },
         "results_identical_to_reference": True,
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    (tmp_path / BENCH_NAME).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
     assert speedup >= REQUIRED_SPEEDUP, (
         f"fused cold speedup {speedup:.2f}x < {REQUIRED_SPEEDUP}x"

@@ -12,7 +12,7 @@ like real server output:
   the raw text size), and :meth:`LiveScanner.stream_detect` must hold at
   most ``chunk_size`` statements per detection chunk.
 
-Results are written to ``BENCH_pr4.json``.  Acceptance: every reader
+Results are written to ``BENCH_pr4.json`` under pytest's ``tmp_path``.  Acceptance: every reader
 parses ≥ 5 000 lines/s, the fold's peak memory stays under a fifth of the
 raw log size, and streamed chunks never exceed their bound.
 """
@@ -22,13 +22,12 @@ import json
 import os
 import time
 import tracemalloc
-from pathlib import Path
 
 from repro.ingest import LiveScanner, WorkloadLog, iter_log_records
 
 from ._helpers import print_table
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_pr4.json"
+BENCH_NAME = "BENCH_pr4.json"
 
 UNIQUE_TEMPLATES = 250
 LOG_LINES = 24_000
@@ -81,7 +80,7 @@ def _measure_format(fmt: str, statements: "list[str]") -> dict:
     }
 
 
-def test_log_ingestion_throughput_and_memory_bound():
+def test_log_ingestion_throughput_and_memory_bound(tmp_path):
     statements = _statements(UNIQUE_TEMPLATES)
     formats = ("postgres-csv", "postgres", "mysql", "sql")
 
@@ -150,7 +149,7 @@ def test_log_ingestion_throughput_and_memory_bound():
             "max_statements_resident": max(chunk_sizes),
         },
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    (tmp_path / BENCH_NAME).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
     for fmt, r in results.items():
         assert r["lines_per_second"] >= MIN_LINES_PER_SECOND, (

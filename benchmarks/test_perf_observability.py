@@ -15,14 +15,13 @@ the ratio is re-measured once before failing.  Correctness first: all
 three modes must produce byte-identical detections (the transparency
 contract, also enforced by ``check_observability_transparency``).
 
-Results are written to ``BENCH_pr9.json``.
+Results are written to ``BENCH_pr9.json`` under pytest's ``tmp_path``.
 """
 from __future__ import annotations
 
 import json
 import os
 import time
-from pathlib import Path
 
 from repro import APDetector, DetectorConfig
 from repro.obs import get_metrics, get_tracer, set_metrics_enabled
@@ -30,7 +29,7 @@ from repro.workloads.github_corpus import GitHubCorpusGenerator, with_duplicates
 
 from ._helpers import print_table
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_pr9.json"
+BENCH_NAME = "BENCH_pr9.json"
 
 CORPUS_REPOS = 680
 DUPLICATE_FRACTION = 0.45
@@ -69,7 +68,7 @@ def _measure(sql: "list[str]", modes: "dict[str, dict]"):
     return best, reports
 
 
-def test_observability_overhead_budget():
+def test_observability_overhead_budget(tmp_path):
     base = GitHubCorpusGenerator(repos=CORPUS_REPOS).generate()
     corpus = with_duplicates(base, fraction=DUPLICATE_FRACTION)
     sql = list(corpus.iter_sql())
@@ -147,7 +146,7 @@ def test_observability_overhead_budget():
         "budget": {"max_metrics_overhead": MAX_METRICS_OVERHEAD},
         "results_identical_across_modes": True,
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    (tmp_path / BENCH_NAME).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
     assert metrics_overhead <= MAX_METRICS_OVERHEAD, (
         f"metrics-on overhead {metrics_overhead:+.1%} exceeds the "

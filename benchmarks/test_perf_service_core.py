@@ -15,7 +15,7 @@ Two claims, one file:
 
 Correctness first: all three detection runs must produce byte-identical
 reports (also enforced by ``check_service_equivalence`` in the selftest).
-Results are written to ``BENCH_pr10.json``.
+Results are written to ``BENCH_pr10.json`` under a pytest temporary directory.
 """
 from __future__ import annotations
 
@@ -25,6 +25,8 @@ import os
 import time
 from pathlib import Path
 
+import pytest
+
 from repro import APDetector, DetectorConfig
 from repro.interfaces.rest import RestServer
 from repro.testkit.oracles import detection_bytes
@@ -32,12 +34,18 @@ from repro.workloads.github_corpus import GitHubCorpusGenerator, with_duplicates
 
 from ._helpers import print_table
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_pr10.json"
+BENCH_NAME = "BENCH_pr10.json"
 
 CORPUS_REPOS = 680
 DUPLICATE_FRACTION = 0.45
 MIN_RESTART_SPEEDUP = 5.0
 REQUESTS = 40
+
+
+@pytest.fixture(scope="module")
+def bench_path(tmp_path_factory) -> Path:
+    """One results file shared by both tests of this module."""
+    return tmp_path_factory.mktemp("bench") / BENCH_NAME
 
 
 def _timed_batch(config: DetectorConfig, sql: "list[str]", detector=None):
@@ -68,7 +76,7 @@ def _measure_restart(sql: "list[str]", memo_path: str):
     }
 
 
-def test_warm_restart_speedup(tmp_path):
+def test_warm_restart_speedup(tmp_path, bench_path):
     base = GitHubCorpusGenerator(repos=CORPUS_REPOS).generate()
     corpus = with_duplicates(base, fraction=DUPLICATE_FRACTION)
     sql = list(corpus.iter_sql())
@@ -132,7 +140,7 @@ def test_warm_restart_speedup(tmp_path):
             "min_required_speedup": MIN_RESTART_SPEEDUP,
         },
     }
-    _merge_bench(payload, "warm_restart_speedup")
+    _merge_bench(bench_path, payload, "warm_restart_speedup")
     assert restart_speedup >= MIN_RESTART_SPEEDUP, (
         f"warm restart is only {restart_speedup:.1f}x faster than cold "
         f"(required: {MIN_RESTART_SPEEDUP}x)"
@@ -162,7 +170,7 @@ def _request_burst(host: str, port: int, *, reuse: bool) -> "list[float]":
     return latencies
 
 
-def test_keepalive_vs_per_connection_latency():
+def test_keepalive_vs_per_connection_latency(bench_path):
     with RestServer() as server:
         host, port = server.address
         # Warm the pooled toolchain so neither mode pays first-request setup.
@@ -199,19 +207,19 @@ def test_keepalive_vs_per_connection_latency():
             "speedup_vs_per_connection": round(fresh_mean / reused_mean, 3),
         },
     }
-    _merge_bench(payload, "keepalive_latency")
+    _merge_bench(bench_path, payload, "keepalive_latency")
     # Keep-alive must at minimum not lose to per-request reconnects (some
     # slack: loopback connects are cheap and shared runners are noisy).
     assert reused_mean <= fresh_mean * 1.25
 
 
-def _merge_bench(payload: dict, key: str) -> None:
+def _merge_bench(path: Path, payload: dict, key: str) -> None:
     """Fold one section into BENCH_pr10.json (both tests write the file)."""
     merged = {}
-    if BENCH_PATH.exists():
+    if path.exists():
         try:
-            merged = json.loads(BENCH_PATH.read_text(encoding="utf-8"))
+            merged = json.loads(path.read_text(encoding="utf-8"))
         except (ValueError, OSError):
             merged = {}
     merged[key] = payload
-    BENCH_PATH.write_text(json.dumps(merged, indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(merged, indent=2) + "\n", encoding="utf-8")

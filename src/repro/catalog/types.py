@@ -82,9 +82,28 @@ _FAMILY_BY_NAME: dict[str, TypeFamily] = {
     "SET": TypeFamily.ENUM,
 }
 
+_WHITESPACE_RE = re.compile(r"\s+")
 _TYPE_RE = re.compile(
     r"^\s*(?P<name>[A-Za-z][A-Za-z0-9_ ]*)\s*(\(\s*(?P<args>[^)]*)\s*\))?\s*(?P<suffix>.*)$"
 )
+
+
+# The text shapes infer_type_from_value recognises, one named alternative
+# per family in the order they are tried.  ``fullmatch`` backtracks across
+# alternatives, so the first shape that matches the whole text wins, and
+# one C-level call replaces one per shape.  No shape matches the boolean
+# words, so testing those after the shapes keeps the historical order.
+_VALUE_SHAPE_RE = re.compile(
+    r"(?P<integer>[+-]?\d+)"
+    r"|(?P<approximate_numeric>[+-]?\d*\.\d+(?:[eE][+-]?\d+)?|[+-]?\d+\.\d*(?:[eE][+-]?\d+)?)"
+    r"|(?P<date>\d{4}-\d{2}-\d{2})"
+    r"|(?P<datetime>\d{4}-\d{2}-\d{2}[T ]\d{2}:\d{2}(?::\d{2}(?:\.\d+)?)?(?:[+-]\d{2}:?\d{2}|Z)?)"
+    r"|(?P<time>\d{2}:\d{2}(?::\d{2})?)"
+    r"|(?P<uuid>[0-9a-fA-F]{8}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{12})"
+)
+_FAMILY_BY_SHAPE = {family.value: family for family in TypeFamily}
+_DATE_PREFIX_RE = re.compile(r"\d{4}-\d{2}-\d{2}")
+_UTC_OFFSET_SUFFIX_RE = re.compile(r"([+-]\d{2}:?\d{2}|Z)$")
 
 
 @dataclass(frozen=True)
@@ -152,7 +171,7 @@ def parse_type(text: str) -> SQLType:
     match = _TYPE_RE.match(raw)
     if not match:
         return SQLType(name=raw.upper(), raw=raw)
-    name = re.sub(r"\s+", " ", match.group("name")).strip().upper()
+    name = _WHITESPACE_RE.sub(" ", match.group("name")).strip().upper()
     args = match.group("args") or ""
     suffix = (match.group("suffix") or "").upper()
 
@@ -213,30 +232,18 @@ def infer_type_from_value(value: object) -> TypeFamily:
     if isinstance(value, float):
         return TypeFamily.APPROXIMATE_NUMERIC
     text = str(value).strip()
-    if not text:
-        return TypeFamily.TEXT
-    if re.fullmatch(r"[+-]?\d+", text):
-        return TypeFamily.INTEGER
-    if re.fullmatch(r"[+-]?\d*\.\d+([eE][+-]?\d+)?", text) or re.fullmatch(
-        r"[+-]?\d+\.\d*([eE][+-]?\d+)?", text
-    ):
-        return TypeFamily.APPROXIMATE_NUMERIC
+    shape = _VALUE_SHAPE_RE.fullmatch(text)
+    if shape is not None:
+        return _FAMILY_BY_SHAPE[shape.lastgroup]
     if text.lower() in ("true", "false", "t", "f"):
         return TypeFamily.BOOLEAN
-    if re.fullmatch(r"\d{4}-\d{2}-\d{2}", text):
-        return TypeFamily.DATE
-    if re.fullmatch(r"\d{4}-\d{2}-\d{2}[T ]\d{2}:\d{2}(:\d{2}(\.\d+)?)?([+-]\d{2}:?\d{2}|Z)?", text):
-        return TypeFamily.DATETIME
-    if re.fullmatch(r"\d{2}:\d{2}(:\d{2})?", text):
-        return TypeFamily.TIME
-    if re.fullmatch(r"[0-9a-fA-F]{8}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{12}", text):
-        return TypeFamily.UUID
     return TypeFamily.TEXT
 
 
 def value_has_timezone(value: object) -> bool:
     """True when a datetime-looking string carries an explicit UTC offset."""
     text = str(value).strip()
-    return bool(re.search(r"([+-]\d{2}:?\d{2}|Z)$", text)) and bool(
-        re.match(r"\d{4}-\d{2}-\d{2}", text)
+    # An offset suffix is at most six characters, so the search starts there.
+    return bool(_DATE_PREFIX_RE.match(text)) and bool(
+        _UTC_OFFSET_SUFFIX_RE.search(text, len(text) - 6)
     )

@@ -70,6 +70,11 @@ class ApplicationContext:
     #: unreachable sources); the detector folds them into its report so
     #: degraded provenance survives to every surface.
     errors: list = field(default_factory=list)
+    #: lazy ``table (lower-cased) -> [queries]`` index in workload order,
+    #: and the ``queries`` list object and length it was built from.
+    _queries_by_table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _indexed_queries: Any = field(default=None, init=False, repr=False, compare=False)
+    _indexed_length: int = field(default=-1, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # schema access
@@ -132,18 +137,14 @@ class ApplicationContext:
         return [q for q in self.queries if q.statement_type in wanted]
 
     def queries_referencing(self, table: str) -> list[QueryAnnotation]:
-        lowered = table.lower()
-        return [
-            q
-            for q in self.queries
-            if any(t.name.lower() == lowered for t in q.all_tables)
-        ]
+        """Queries that read or write ``table``, in workload order."""
+        return list(self._table_index().get(table.lower(), ()))
 
     def queries_referencing_column(self, table: str, column: str) -> list[QueryAnnotation]:
         """Queries whose predicates, projections, or assignments touch the column."""
         result = []
         lowered_column = column.lower()
-        for query in self.queries_referencing(table):
+        for query in self._table_index().get(table.lower(), ()):
             for reference in query.referenced_columns():
                 if reference.name.lower() == lowered_column and self._column_belongs(
                     query, reference, table
@@ -151,6 +152,20 @@ class ApplicationContext:
                     result.append(query)
                     break
         return result
+
+    def _table_index(self) -> dict[str, list[QueryAnnotation]]:
+        """The per-table query index, rebuilt when ``queries`` is replaced
+        or changes length (``ContextBuilder.extend`` appends to it)."""
+        queries = self.queries
+        if self._indexed_queries is not queries or self._indexed_length != len(queries):
+            index: dict[str, list[QueryAnnotation]] = {}
+            for query in queries:
+                for name in {t.name.lower() for t in query.all_tables}:
+                    index.setdefault(name, []).append(query)
+            self._queries_by_table = index
+            self._indexed_queries = queries
+            self._indexed_length = len(queries)
+        return self._queries_by_table
 
     def join_pairs(self) -> list[tuple[str, str]]:
         """Pairs of tables that are joined anywhere in the workload."""

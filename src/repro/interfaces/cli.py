@@ -483,9 +483,11 @@ def run_serve_command(argv: Sequence[str]) -> tuple[int, str]:
         server = create_server(args.host, args.port, memo_path=args.memo_cache)
     except OSError as error:
         return 2, f"error: cannot bind {args.host}:{args.port}: {error}"
-    server.start()
-    print(f"sqlcheck: serving on {server.url} (Ctrl-C to stop)", file=sys.stderr)
+    # Everything after the bind sits inside the ``try``: a Ctrl-C that lands
+    # while the server starts or announces itself still drains and flushes.
     try:
+        server.start()
+        print(f"sqlcheck: serving on {server.url} (Ctrl-C to stop)", file=sys.stderr)
         server.wait()
     except KeyboardInterrupt:
         print("sqlcheck: draining in-flight requests ...", file=sys.stderr)

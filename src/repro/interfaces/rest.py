@@ -823,10 +823,12 @@ class RestServer:
         starts from this one's warm state.
         """
         self._server.drain(self.drain_timeout)
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
+        if self._thread is not None and self._thread.is_alive():
+            # ``shutdown`` blocks until ``serve_forever`` exits, so it would
+            # deadlock on a server whose thread never started.
+            self._server.shutdown()
             self._thread.join(timeout=5)
+        self._server.server_close()
         self.pool.close()
 
     def __enter__(self) -> "RestServer":

@@ -9,11 +9,13 @@ from __future__ import annotations
 import re
 from typing import Any, Iterable, Sequence
 
-_DELIMITERS = (",", ";", "|", "/")
+DELIMITERS = (",", ";", "|", "/")
+_LIST_ITEM_RE = re.compile(r"^[\w.@+-]{1,64}$")
 _PATH_RE = re.compile(
     r"^([A-Za-z]:\\|\\\\|/|\./|\.\./|~/)[\w\-./\\ ]+\.\w{1,5}$|^[\w\-./\\ ]+\.(jpg|jpeg|png|gif|pdf|csv|txt|doc|docx|xls|xlsx|mp3|mp4|zip)$",
     re.IGNORECASE,
 )
+_MEDIA_SUFFIX_RE = re.compile(r"\.(jpg|jpeg|png|gif|pdf|mp3|mp4|zip)$", re.IGNORECASE)
 _EMAIL_RE = re.compile(r"^[\w.+-]+@[\w-]+\.[\w.-]+$")
 _URL_RE = re.compile(r"^https?://", re.IGNORECASE)
 _PASSWORD_COLUMN_RE = re.compile(r"(passwd|password|pwd|secret)", re.IGNORECASE)
@@ -28,37 +30,43 @@ def detect_delimited_values(values: Sequence[str]) -> tuple[str | None, float]:
     the delimiter, long prose) are not counted, which is what keeps columns
     such as ADDRESS from being flagged (§4.1's false-positive discussion).
     """
-    if not values:
-        return None, 0.0
-    hits: dict[str, int] = {d: 0 for d in _DELIMITERS}
+    hits = dict.fromkeys(DELIMITERS, 0)
     for value in values:
-        for delimiter in _DELIMITERS:
-            if _looks_like_list(value, delimiter):
-                hits[delimiter] += 1
+        for delimiter in list_delimiters(value):
+            hits[delimiter] += 1
+    return best_delimiter(hits, len(values))
+
+
+def list_delimiters(value: str) -> list[str]:
+    """The delimiters that split ``value`` into two or more atomic tokens."""
+    return [d for d in DELIMITERS if d in value and _looks_like_list(value, d)]
+
+
+def best_delimiter(hits: dict[str, int], total: int) -> tuple[str | None, float]:
+    """Most frequent delimiter (first in ``DELIMITERS`` order on ties) and
+    its share of ``total`` values, from per-delimiter hit counts."""
     best = max(hits.items(), key=lambda kv: kv[1])
     if best[1] == 0:
         return None, 0.0
-    return best[0], best[1] / len(values)
+    return best[0], best[1] / total
 
 
 def _looks_like_list(value: str, delimiter: str) -> bool:
-    if delimiter not in value:
-        return False
+    # Callers check that ``delimiter`` occurs in ``value``, so there are at
+    # least two parts; every part must look like an atomic token
+    # (identifier-ish, no spaces).
     parts = [p.strip() for p in value.split(delimiter)]
-    if len(parts) < 2:
-        return False
-    # every part must look like an atomic token (identifier-ish, no spaces)
-    token_re = re.compile(r"^[\w.@+-]{1,64}$")
-    return all(part and token_re.match(part) for part in parts)
+    return all(part and _LIST_ITEM_RE.match(part) for part in parts)
 
 
 def looks_like_file_path(value: str) -> bool:
     """True when a value looks like a filesystem path or media file reference."""
     value = value.strip()
-    if not value or len(value) > 300:
+    # Every accepted shape ends in a ``.ext`` suffix.
+    if "." not in value or len(value) > 300:
         return False
     if _URL_RE.match(value):
-        return bool(re.search(r"\.(jpg|jpeg|png|gif|pdf|mp3|mp4|zip)$", value, re.IGNORECASE))
+        return bool(_MEDIA_SUFFIX_RE.search(value))
     return bool(_PATH_RE.match(value))
 
 

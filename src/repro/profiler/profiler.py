@@ -62,7 +62,10 @@ class DataProfiler:
         )
         columns = self._column_names(sampled, definition)
         for column in columns:
-            values = [self._value(row, column) for row in sampled]
+            try:
+                values = [row[column] for row in sampled]
+            except KeyError:
+                values = [self._value(row, column) for row in sampled]
             profile.columns[column.lower()] = profile_column(column, values, table=table_name)
         return profile
 

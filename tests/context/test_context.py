@@ -1,8 +1,14 @@
 """Unit tests for the application context and context builder."""
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.context import ContextBuilder, build_context
 from repro.engine import Database
+from repro.fixer import APFixer
+from repro.model.antipatterns import AntiPattern
+from repro.model.detection import Detection
+from repro.sqlparser import QueryAnnotation
 
 DDL = """
 CREATE TABLE Users (User_ID VARCHAR(10) PRIMARY KEY, Name VARCHAR(40), Role VARCHAR(10));
@@ -112,3 +118,86 @@ class TestApplicationContextQueries:
         assert role_usage.update_count >= 1
         assert role_usage.read_lookups >= 1
         assert role_usage.writes >= 1
+
+
+def _full_scan(context, table):
+    """The per-call workload walk the per-table index replaces."""
+    return [
+        q for q in context.queries
+        if any(t.name.lower() == table.lower() for t in q.all_tables)
+    ]
+
+
+class TestQueryIndex:
+    def test_index_matches_a_full_workload_walk(self):
+        context = build_context(
+            QUERIES + "SELECT a.Name FROM Users a JOIN Users b ON a.User_ID = b.User_ID;\n"
+        )
+        for table in ("Users", "users", "ORDERS", "Ghost"):
+            assert context.queries_referencing(table) == _full_scan(context, table)
+
+    def test_self_join_is_listed_once(self):
+        context = build_context("SELECT a.Name FROM Users a JOIN Users b ON a.Role = b.Role")
+        assert len(context.queries_referencing("Users")) == 1
+
+    def test_result_is_a_fresh_list(self):
+        context = build_context(QUERIES)
+        context.queries_referencing("Orders").clear()
+        assert len(context.queries_referencing("Orders")) == 4
+
+    def test_extend_after_first_lookup_is_seen(self):
+        builder = ContextBuilder()
+        context = builder.build(QUERIES)
+        before = context.queries_referencing("Orders")
+        assert len(context.queries_referencing_column("Orders", "Total")) == 1
+        builder.extend(context, "SELECT Total FROM Orders WHERE Total > 100")
+        after = context.queries_referencing("Orders")
+        assert after[:-1] == before
+        assert after[-1].raw == "SELECT Total FROM Orders WHERE Total > 100"
+        assert len(context.queries_referencing_column("Orders", "Total")) == 2
+
+    def test_reassigned_queries_are_seen(self):
+        context = build_context(QUERIES)
+        assert len(context.queries_referencing("Orders")) == 4
+        # A new list of the same length: only the list identity changes.
+        context.queries = list(reversed(context.queries))
+        assert context.queries_referencing("Orders") == _full_scan(context, "Orders")
+        context.queries = [q for q in context.queries if q.statement_type != "INSERT"]
+        assert len(context.queries_referencing("Orders")) == 3
+        assert len(context.queries_referencing_column("Users", "Role")) == 2
+        context.queries = []
+        assert context.queries_referencing("Orders") == []
+
+    def test_fixing_walks_each_query_tables_a_constant_number_of_times(self, monkeypatch):
+        walks: Counter = Counter()
+        all_tables = QueryAnnotation.all_tables
+
+        def counting(self):
+            walks[id(self)] += 1
+            return all_tables.fget(self)
+
+        monkeypatch.setattr(QueryAnnotation, "all_tables", property(counting))
+        context = build_context(QUERIES)
+
+        def detections(n):
+            made = []
+            for i in range(n):
+                made.append(Detection(
+                    anti_pattern=AntiPattern.ROUNDING_ERRORS, table="Orders", column="Total",
+                ))
+                made.append(Detection(
+                    anti_pattern=AntiPattern.DATA_IN_METADATA,
+                    table="Users" if i % 2 else "Orders",
+                    metadata={"columns": ["c1", "c2"]},
+                ))
+            return made
+
+        fixes = APFixer().fix(detections(1), context)
+        assert all(fix.impacted_queries for fix in fixes)
+        after_one = max(walks.values())
+        walks.clear()
+        fixes = APFixer().fix(detections(50), context)
+        assert len(fixes) == 100
+        # The index was built by the first fix run; later runs reuse it.
+        assert max(walks.values(), default=0) <= after_one
+        assert after_one <= 2
