@@ -14,11 +14,14 @@ three paths:
 
 Results are written to ``BENCH_pr1.json`` under pytest's ``tmp_path``.  Acceptance: warm ≥ 3× cold,
 parallel batch ≥ 1.5× cold, and every path byte-identical to the cold path.
+Each speedup is the median over ``ROUNDS`` rounds of the per-round ratio;
+a round times cold and parallel back to back, alternating their order.
 """
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 
 from repro import APDetector, DetectorConfig
@@ -32,6 +35,7 @@ BENCH_NAME = "BENCH_pr1.json"
 CORPUS_REPOS = 340
 DUPLICATE_FRACTION = 0.45
 PARALLEL_WORKERS = 4
+ROUNDS = 5
 
 
 def _timed_batch(detector: APDetector, sql: list[str], workers: int = 1):
@@ -40,27 +44,25 @@ def _timed_batch(detector: APDetector, sql: list[str], workers: int = 1):
     return time.perf_counter() - start, report, stats
 
 
-def _measure(sql: list[str]):
-    """One full measurement round: cold, cached-first, warm, parallel."""
-    # Cold path: the seed's behaviour — no caches anywhere.
-    cold_seconds, cold_report, _ = _timed_batch(
-        APDetector(DetectorConfig(enable_cache=False)), sql
-    )
-    # First cached pass populates the annotation cache and detection memo;
-    # the second pass over the same corpus is the warm measurement.
+def _measure(sql: list[str], *, parallel_first: bool) -> dict:
+    """One round: cold and parallel back to back (in the given order), then
+    a cached first pass and the warm pass over the same detector.
+
+    Path name -> (seconds, report, stats).
+    """
+    measured = {}
+    for name in ("parallel", "cold") if parallel_first else ("cold", "parallel"):
+        # Cold: the seed's behaviour, no caches anywhere.  Parallel: fresh
+        # caches, PARALLEL_WORKERS workers.
+        detector = APDetector(DetectorConfig(enable_cache=name == "parallel"))
+        workers = PARALLEL_WORKERS if name == "parallel" else 1
+        measured[name] = _timed_batch(detector, sql, workers)
+    # The first cached pass populates the annotation cache and detection
+    # memo; the second pass over the same corpus is the warm measurement.
     cached_detector = APDetector(DetectorConfig(enable_cache=True))
-    first_seconds, first_report, first_stats = _timed_batch(cached_detector, sql)
-    warm_seconds, warm_report, warm_stats = _timed_batch(cached_detector, sql)
-    # Parallel batch path: fresh caches, 4 workers.
-    parallel_seconds, parallel_report, parallel_stats = _timed_batch(
-        APDetector(DetectorConfig(enable_cache=True)), sql, workers=PARALLEL_WORKERS
-    )
-    return (
-        cold_seconds, cold_report,
-        first_seconds, first_report, first_stats,
-        warm_seconds, warm_report, warm_stats,
-        parallel_seconds, parallel_report, parallel_stats,
-    )
+    measured["first"] = _timed_batch(cached_detector, sql)
+    measured["warm"] = _timed_batch(cached_detector, sql)
+    return measured
 
 
 def test_corpus_throughput_cold_warm_parallel(tmp_path):
@@ -71,38 +73,51 @@ def test_corpus_throughput_cold_warm_parallel(tmp_path):
     assert len(sql) >= 5000
     assert duplicate_fraction >= 0.30
 
-    # The ratios are machine-dependent; a transient load spike on a shared
-    # runner should not fail the suite, so re-measure once before asserting.
-    for attempt in range(2):
-        (
-            cold_seconds, cold_report,
-            first_seconds, first_report, first_stats,
-            warm_seconds, warm_report, warm_stats,
-            parallel_seconds, parallel_report, parallel_stats,
-        ) = _measure(sql)
-        if cold_seconds / warm_seconds >= 3.0 and cold_seconds / parallel_seconds >= 1.5:
-            break
+    # The ratios are machine-dependent and a shared runner drifts: each
+    # round times the compared paths back to back, alternating which runs
+    # first, and the gates judge the median of the per-round ratios.
+    rounds = []
+    for i in range(ROUNDS):
+        measured = _measure(sql, parallel_first=bool(i % 2))
+        if not rounds:
+            cold_report = measured["cold"][1]
+            cold_payload = [d.to_dict() for d in cold_report]
+        # Correctness before speed: every path of every round must agree
+        # with the cold path.  Only timings and stats are kept.
+        for _, report, _ in measured.values():
+            assert [d.to_dict() for d in report] == cold_payload
+        rounds.append({path: (seconds, stats) for path, (seconds, _, stats) in measured.items()})
 
-    # Correctness before speed: every path must agree with the cold path.
-    cold_payload = [d.to_dict() for d in cold_report]
-    assert [d.to_dict() for d in first_report] == cold_payload
-    assert [d.to_dict() for d in warm_report] == cold_payload
-    assert [d.to_dict() for d in parallel_report] == cold_payload
+    def seconds(path: str) -> float:
+        return statistics.median(measured[path][0] for measured in rounds)
 
+    def speedup(path: str) -> float:
+        return statistics.median(
+            measured["cold"][0] / measured[path][0] for measured in rounds
+        )
+
+    cold_seconds, first_seconds, warm_seconds, parallel_seconds = (
+        seconds("cold"), seconds("first"), seconds("warm"), seconds("parallel")
+    )
+    first_stats, warm_stats, parallel_stats = (
+        rounds[0]["first"][1], rounds[0]["warm"][1], rounds[0]["parallel"][1]
+    )
+    first_speedup = speedup("first")
+    warm_speedup = speedup("warm")
+    parallel_speedup = speedup("parallel")
     n = len(sql)
-    warm_speedup = cold_seconds / warm_seconds
-    parallel_speedup = cold_seconds / parallel_seconds
     rows = [
         ("cold (no caches)", f"{cold_seconds:.2f}", f"{n / cold_seconds:.0f}", "1.00"),
         ("cached first pass", f"{first_seconds:.2f}", f"{n / first_seconds:.0f}",
-         f"{cold_seconds / first_seconds:.2f}"),
+         f"{first_speedup:.2f}"),
         ("warm (2nd pass)", f"{warm_seconds:.2f}", f"{n / warm_seconds:.0f}",
          f"{warm_speedup:.2f}"),
         (f"parallel batch (w={PARALLEL_WORKERS})", f"{parallel_seconds:.2f}",
          f"{n / parallel_seconds:.0f}", f"{parallel_speedup:.2f}"),
     ]
     print_table(
-        f"Corpus throughput — {n} statements, {duplicate_fraction:.0%} duplicates",
+        f"Corpus throughput — {n} statements, {duplicate_fraction:.0%} duplicates, "
+        f"median of {ROUNDS} rounds",
         ("path", "seconds", "stmt/s", "speedup"),
         rows,
     )
@@ -114,6 +129,7 @@ def test_corpus_throughput_cold_warm_parallel(tmp_path):
         "duplicate_fraction": round(duplicate_fraction, 4),
         "detections": len(cold_report.detections),
         "cpu_count": os.cpu_count(),
+        "rounds": ROUNDS,
         "cold": {
             "seconds": round(cold_seconds, 4),
             "statements_per_second": round(n / cold_seconds, 1),
@@ -137,7 +153,7 @@ def test_corpus_throughput_cold_warm_parallel(tmp_path):
         },
         "speedups": {
             "warm_vs_cold": round(warm_speedup, 2),
-            "cached_first_pass_vs_cold": round(cold_seconds / first_seconds, 2),
+            "cached_first_pass_vs_cold": round(first_speedup, 2),
             "parallel_vs_cold": round(parallel_speedup, 2),
         },
         "results_identical_to_cold_path": True,

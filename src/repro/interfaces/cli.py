@@ -37,11 +37,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
 from ..core.sqlcheck import SQLCheck, SQLCheckOptions, SQLCheckReport
 from ..detector.detector import DetectorConfig
+from ..errors import CODE_BAD_REQUEST, CODE_SOURCE_UNAVAILABLE
 from ..obs import get_metrics, get_tracer
 from ..ranking.config import C1, C2, RankingConfig
 from ..reporting import (
@@ -53,6 +55,33 @@ from ..reporting import (
     write_reference,
 )
 from ..rules.registry import default_registry
+
+
+class _InputFileError(Exception):
+    """An input file that cannot be read as UTF-8 text.
+
+    :func:`run` turns it into exit code 2 and one
+    ``sqlcheck: error [<code>]: <path>: <reason>`` line.
+    """
+
+    def __init__(self, code: str, path: str, reason: str):
+        super().__init__(f"sqlcheck: error [{code}]: {path}: {reason}")
+
+
+def _read_sql_file(path: str) -> str:
+    """The text of one SQL input file, or :class:`_InputFileError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as error:
+        raise _InputFileError(
+            CODE_BAD_REQUEST, path,
+            f"cannot decode as UTF-8 (byte 0x{error.object[error.start]:02x}: {error.reason})",
+        ) from None
+    except OSError as error:
+        raise _InputFileError(
+            CODE_SOURCE_UNAVAILABLE, path, error.strerror or str(error)
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -429,8 +458,7 @@ def run_profile_command(argv: Sequence[str]) -> tuple[int, str]:
         return 2, "error: --top must be a non-negative number of rules"
     sql_parts: list[str] = []
     for path in args.files:
-        with open(path, "r", encoding="utf-8") as handle:
-            sql_parts.append(handle.read())
+        sql_parts.append(_read_sql_file(path))
     sql_parts.extend(args.query)
     if sql_parts:
         corpus: "Sequence[str] | str" = sql_parts[0] if len(sql_parts) == 1 else sql_parts
@@ -506,8 +534,7 @@ def run_selftest_command(argv: Sequence[str]) -> tuple[int, str]:
     if args.files:
         corpus = []
         for path in args.files:
-            with open(path, "r", encoding="utf-8") as handle:
-                corpus.extend(split(handle.read()))
+            corpus.extend(split(_read_sql_file(path)))
     result = run_selftest(
         corpus,
         seed=args.seed,
@@ -527,11 +554,16 @@ def run(argv: Sequence[str] | None = None, *, stdin: str | None = None) -> tuple
     """Run the CLI and return (exit code, rendered output).
 
     ``stdin`` can be supplied directly for tests; otherwise the process stdin
-    is read when no files or --query arguments are given.
+    is read when no files or --query arguments are given.  An input file
+    that cannot be read ends in exit code 2 and one structured error line.
     """
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = list(argv)
+    try:
+        return _dispatch(list(sys.argv[1:] if argv is None else argv), stdin)
+    except _InputFileError as error:
+        return 2, str(error)
+
+
+def _dispatch(argv: "list[str]", stdin: "str | None") -> tuple[int, str]:
     if argv[:1] == ["selftest"]:
         return run_selftest_command(argv[1:])
     if argv[:1] == ["docs"]:
@@ -554,8 +586,7 @@ def run(argv: Sequence[str] | None = None, *, stdin: str | None = None) -> tuple
 def _run_main(args: argparse.Namespace, stdin: "str | None") -> tuple[int, str]:
     file_contents: list[tuple[str, str]] = []
     for path in args.files:
-        with open(path, "r", encoding="utf-8") as handle:
-            file_contents.append((path, handle.read()))
+        file_contents.append((path, _read_sql_file(path)))
     sql_parts: list[str] = [content for _, content in file_contents]
     sql_parts.extend(args.query)
     if not sql_parts:
@@ -778,7 +809,15 @@ def render_batch(
 def main(argv: Sequence[str] | None = None) -> int:
     """Console-script entry point."""
     code, output = run(argv)
-    print(output)
+    try:
+        print(output, flush=True)
+    except BrokenPipeError:
+        # The reader went away (``sqlcheck ... | head``).  Point stdout at
+        # devnull so the interpreter's final flush does not raise again, as
+        # the Python docs on SIGPIPE recommend.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     return code
 
 

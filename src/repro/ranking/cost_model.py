@@ -111,24 +111,7 @@ class DurationCostModel(WorkloadCostModel):
         frequencies: "Mapping[int, int]",
         durations: "Mapping[int, float]",
     ) -> "dict[int, float]":
-        reference = self.reference_duration(durations)
-        weights: "dict[int, float]" = {}
-        for index in frequencies.keys() | durations.keys():
-            frequency = max(1, frequencies.get(index, 1))
-            mean_duration = durations.get(index)
-            if reference is None or mean_duration is None or mean_duration <= 0:
-                # No duration evidence for this statement (or the whole
-                # workload): fall back to the frequency weight so partially
-                # timed logs degrade gracefully instead of zeroing out.
-                weights[index] = frequency_weight(frequency)
-                continue
-            relative = mean_duration / reference
-            equivalent_executions = frequency * relative
-            if equivalent_executions <= 1.0:
-                weights[index] = 1.0
-            else:
-                weights[index] = 1.0 + math.log2(equivalent_executions)
-        return weights
+        return _duration_weights(frequencies, durations)
 
 
 @dataclass(frozen=True)
@@ -154,19 +137,42 @@ class HybridCostModel(WorkloadCostModel):
         share = self.duration_share
         if share == 0.0:
             return FrequencyCostModel().weights(frequencies, durations)
-        by_duration = DurationCostModel().weights(frequencies, durations)
-        if share == 1.0:
-            return by_duration
-        # One pass over the duration map's keys (already the union of both
-        # fact maps); unmapped statements default to 1.0 downstream anyway.
-        return {
-            index: (1.0 - share) * frequency_weight(frequencies.get(index))
-            + share * weight
-            for index, weight in by_duration.items()
-        }
+        return _duration_weights(frequencies, durations, None if share == 1.0 else share)
 
     def describe(self) -> dict:
         return {"name": self.name, "duration_share": self.duration_share}
+
+
+def _duration_weights(
+    frequencies: "Mapping[int, int]",
+    durations: "Mapping[int, float]",
+    share: "float | None" = None,
+) -> "dict[int, float]":
+    """The duration model's weights, or with ``share`` their blend
+    ``(1 - share) · frequency_weight + share · duration_weight``, in one
+    pass over both fact maps' statements."""
+    reference = DurationCostModel.reference_duration(durations)
+    log2 = math.log2
+    keep = None if share is None else 1.0 - share
+    weights: "dict[int, float]" = {}
+    for index in frequencies.keys() | durations.keys():
+        count = frequencies.get(index, 1)
+        frequency = max(1, count)
+        mean_duration = durations.get(index)
+        if reference is None or mean_duration is None or mean_duration <= 0:
+            # No duration evidence for this statement (or the whole
+            # workload): fall back to the frequency weight so partially
+            # timed logs degrade gracefully instead of zeroing out.
+            weight = frequency_weight(frequency)
+        else:
+            equivalent_executions = frequency * (mean_duration / reference)
+            weight = 1.0 if equivalent_executions <= 1.0 else 1.0 + log2(equivalent_executions)
+        if keep is not None:
+            # frequency_weight(count), inlined: this loop is the model's cost.
+            by_frequency = 1.0 if count <= 1 else 1.0 + log2(float(count))
+            weight = keep * by_frequency + share * weight
+        weights[index] = weight
+    return weights
 
 
 #: Model factories by ``--cost-model`` name (one source of truth for the

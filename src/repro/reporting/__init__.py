@@ -21,7 +21,7 @@ below are thin wrappers over these pieces.
 from __future__ import annotations
 
 from ..core.sqlcheck import BatchReport, SQLCheckReport
-from ..rules.registry import RuleRegistry
+from ..rules.registry import RuleRegistry, default_registry
 from .html import render_html
 from .markdown import render_markdown
 from .model import (
@@ -84,6 +84,9 @@ def render_report(
     (distinct/total statements, log format, degraded-line counts) so rich
     formats surface it exactly like the JSON ``workload`` block.
     """
+    # Resolved once: the document and the SARIF rules block read the same
+    # registry, and building the default one is not free.
+    registry = registry if registry is not None else default_registry()
     document = build_document(
         report,
         registry=registry,
@@ -107,6 +110,7 @@ def render_batch_report(
     ``top`` truncates each corpus section to its N highest-impact findings
     for markdown/html; SARIF always carries the full result set.
     """
+    registry = registry if registry is not None else default_registry()
     documents = build_documents(batch, registry=registry, include_stats=include_stats)
     return _render_documents(documents, fmt, registry, top)
 

@@ -22,9 +22,17 @@ maps a sqlcheck run onto one SARIF ``run``:
 Only properties in the SARIF 2.1.0 required set plus widely-supported
 optional ones are emitted; ``tests/conformance/test_rule_docs.py`` validates
 the required-property contract over the golden corpus.
+
+:func:`render_sarif` encodes the ``tool.driver.rules`` block — most of a
+log's bytes, and the same for every job under one rule set — once per
+distinct rule content in a process and splices it into each log, so a
+process rendering many logs pays for the block once; the rest goes
+through a small encoder that writes exactly what ``json.dumps(log,
+indent=...)`` would.
 """
 from __future__ import annotations
 
+import functools
 import json
 from typing import Iterable
 from urllib.parse import quote
@@ -51,17 +59,25 @@ def severity_level(severity: Severity) -> str:
 
 def rule_descriptor(rule) -> dict:
     """The ``reportingDescriptor`` for one registered rule."""
-    doc = rule.documentation()
-    entry = catalog_entry(rule.anti_pattern)
+    return _descriptor(rule.name, rule.severity, rule.anti_pattern, rule.documentation())
+
+
+def _rule_content(rule) -> tuple:
+    """Everything :func:`rule_descriptor` reads from a rule, hashable."""
+    return (rule.name, rule.severity, rule.anti_pattern, rule.documentation())
+
+
+def _descriptor(name, severity, anti_pattern, doc) -> dict:
+    entry = catalog_entry(anti_pattern)
     return {
-        "id": rule.name,
-        "name": rule.name,
+        "id": name,
+        "name": name,
         "shortDescription": {"text": doc.title},
         "fullDescription": {"text": doc.problem},
         "help": {"text": f"{doc.why_it_hurts}\n\nFix: {doc.fix}", "markdown": doc.help_markdown()},
-        "defaultConfiguration": {"level": severity_level(rule.severity)},
+        "defaultConfiguration": {"level": severity_level(severity)},
         "properties": {
-            "anti_pattern": rule.anti_pattern.value,
+            "anti_pattern": anti_pattern.value,
             "category": entry.category.value,
             "paper_section": doc.paper_section,
         },
@@ -222,20 +238,17 @@ def _invocation(docs: "list[ReportDocument]") -> "dict | None":
     }
 
 
-def to_sarif(
+def _log(
     documents: "ReportDocument | Iterable[ReportDocument]",
-    *,
-    registry: "RuleRegistry | None" = None,
+    rules: "list[dict] | _Encoded",
+    rule_index: "dict[str, int]",
 ) -> dict:
-    """Build the SARIF 2.1.0 log object for one or more report documents."""
+    """The SARIF log skeleton around a ready ``tool.driver.rules`` value."""
     # Imported lazily: repro/__init__ imports this package before it defines
     # __version__, so a module-level import would see a half-initialised repro.
     from .. import __version__
 
     docs = [documents] if isinstance(documents, ReportDocument) else list(documents)
-    registry = registry if registry is not None else default_registry()
-    rules = [rule_descriptor(rule) for rule in registry]
-    rule_index = {descriptor["id"]: i for i, descriptor in enumerate(rules)}
     results: "list[dict]" = []
     # Ordered URI dedup alongside result building: one _artifact_uri call
     # per finding, O(1) membership.
@@ -281,11 +294,131 @@ def to_sarif(
     return {"$schema": SARIF_SCHEMA, "version": SARIF_VERSION, "runs": [run]}
 
 
+def _rule_index(names: "Iterable[str]") -> "dict[str, int]":
+    """Rule id -> position in ``tool.driver.rules``; for a name registered
+    twice the last position wins."""
+    return {name: i for i, name in enumerate(names)}
+
+
+def to_sarif(
+    documents: "ReportDocument | Iterable[ReportDocument]",
+    *,
+    registry: "RuleRegistry | None" = None,
+) -> dict:
+    """Build the SARIF 2.1.0 log object for one or more report documents."""
+    registry = registry if registry is not None else default_registry()
+    rules = [rule_descriptor(rule) for rule in registry]
+    return _log(documents, rules, _rule_index(rule.name for rule in registry))
+
+
 def render_sarif(
     documents: "ReportDocument | Iterable[ReportDocument]",
     *,
     registry: "RuleRegistry | None" = None,
     indent: int = 2,
 ) -> str:
-    """Serialise :func:`to_sarif` output as a JSON string."""
-    return json.dumps(to_sarif(documents, registry=registry), indent=indent)
+    """Serialise :func:`to_sarif` output as a JSON string.
+
+    The result is byte-identical to ``json.dumps(to_sarif(...),
+    indent=indent)``; the rules block comes from a process-wide cache
+    keyed on the registered rules' content, so after the first render
+    under a rule set a log costs only its own findings.
+    """
+    registry = registry if registry is not None else default_registry()
+    content = tuple(_rule_content(rule) for rule in registry)
+    rules = _encoded_rules(content, indent)
+    log = _log(documents, rules, _rule_index(entry[0] for entry in content))
+    return _encode(log, indent)
+
+
+# ----------------------------------------------------------------------
+# encoding
+# ----------------------------------------------------------------------
+_escape = json.encoder.encode_basestring_ascii
+_INFINITY = float("inf")
+
+
+class _Encoded:
+    """A JSON value encoded ahead of time as a top-level value.
+
+    :func:`_encode` writes it verbatim, re-padding its newlines to the depth
+    it lands at (encoded JSON strings never hold a raw newline).
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+@functools.lru_cache(maxsize=8)
+def _encoded_rules(content: tuple, indent: int) -> _Encoded:
+    """The encoded ``tool.driver.rules`` block for one rule set.
+
+    Keyed on :func:`_rule_content` of every rule, so a rule whose doc or
+    severity changes gets a new entry, never a stale one.
+    """
+    return _Encoded(_encode([_descriptor(*entry) for entry in content], indent))
+
+
+def _encode(value, indent: int) -> str:
+    """``json.dumps(value, indent=indent)``, byte for byte, for the JSON
+    values a SARIF log carries (plus :class:`_Encoded` leaves)."""
+    out: "list[str]" = []
+    _write(value, out, "\n", " " * indent)
+    return "".join(out)
+
+
+def _write(value, out: "list[str]", newline: str, step: str) -> None:
+    # Type tests in json's order: str and int subclasses (enums) encode as
+    # their base type, bool before int.
+    if isinstance(value, str):
+        out.append(_escape(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + step
+        separator = "{" + inner
+        for key, item in value.items():
+            # _escape raises TypeError for a non-str key (json.dumps would
+            # coerce int/float/bool/None keys; a SARIF log has none).
+            out.append(separator + _escape(key) + ": ")
+            _write(item, out, inner, step)
+            separator = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + step
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _write(item, out, inner, step)
+            separator = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, _Encoded):
+        out.append(value.text.replace("\n", newline))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)

@@ -167,6 +167,8 @@ class RuleRegistry:
             self._data_rules.append(rule)
         else:
             raise TypeError(f"{type(rule).__name__} is neither a QueryRule nor a DataRule")
+        # Only the new rule's snapshot changed: no full rebuild, so building
+        # a registry stays linear in its rules.
         self._invalidate()
         return rule
 
@@ -175,17 +177,22 @@ class RuleRegistry:
         self._query_rules = [r for r in self._query_rules if r.name != name]
         self._data_rules = [r for r in self._data_rules if r.name != name]
         self._invalidate()
+        self._prune_declared_types()
 
     def disable_anti_pattern(self, anti_pattern: AntiPattern) -> None:
         """Remove every rule detecting the given anti-pattern."""
         self._query_rules = [r for r in self._query_rules if r.anti_pattern is not anti_pattern]
         self._data_rules = [r for r in self._data_rules if r.anti_pattern is not anti_pattern]
         self._invalidate()
+        self._prune_declared_types()
 
     def _invalidate(self) -> None:
         self._version += 1
         self._dispatch.clear()
         self._compiled.clear()
+
+    def _prune_declared_types(self) -> None:
+        """Drop the snapshots of rules no longer registered."""
         self._declared_types = {
             id(rule): self._declared_types.get(id(rule), tuple(rule.statement_types))
             for rule in self._query_rules

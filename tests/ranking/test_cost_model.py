@@ -90,6 +90,20 @@ class TestHybridModel:
             DurationCostModel().weights(frequencies, durations)
         )
 
+    def test_blend_is_exact_per_statement(self):
+        # Partly timed, partly counted, zero/negative facts and a float count:
+        # every statement's weight is the blend of the two pure models'.
+        frequencies = {0: 8, 1: 2, 2: 0, 3: -4, 4: 2.5, 6: 1}
+        durations = {0: 90.0, 1: 10.0, 2: 0.0, 5: 3.7, 6: -1.0, 7: 400.0}
+        by_frequency = FrequencyCostModel().weights(frequencies, durations)
+        by_duration = DurationCostModel().weights(frequencies, durations)
+        for share in (0.25, 0.5, 0.9):
+            weights = HybridCostModel(share).weights(frequencies, durations)
+            assert list(weights) == list(by_duration)
+            for index, weight in weights.items():
+                expected = (1.0 - share) * by_frequency.get(index, 1.0) + share * by_duration[index]
+                assert weight.hex() == expected.hex()
+
     def test_describe_carries_the_share(self):
         assert HybridCostModel(0.25).describe() == {
             "name": "hybrid",
