@@ -169,10 +169,7 @@ class APDetector:
             return None
         from .persist import PersistentMemo
 
-        return PersistentMemo(
-            self.config.persistent_memo_path,
-            registry_digest=self.registry.content_digest,
-        )
+        return PersistentMemo(self.config.persistent_memo_path)
 
     def _dialect_key(self) -> str:
         """Stable dialect label for cross-process annotation-cache keys."""

@@ -26,13 +26,19 @@ results:
 
 * every key embeds :attr:`RuleRegistry.content_digest` plus the thresholds
   and analysis flags, so rule or configuration changes orphan old entries
-  rather than match them;
-* a ``meta`` table records the format version and registry digest; a
-  mismatch on open purges the file back to cold (counted as an
-  invalidation);
-* a corrupt or truncated file (sqlite errors, unpicklable payloads) is
-  dropped and recreated once; if the path stays unusable the store disables
-  itself and the detector simply runs cold.
+  rather than match them — processes with different registries share one
+  file without purging each other, and orphaned rows age out;
+* a ``meta`` table records the format version; a mismatch on open purges
+  the file back to cold (counted as an invalidation);
+* each table holds at most ``max_rows`` rows after every flush, by any
+  process; trims are amortised (a flush cuts the oldest rows down to 7/8
+  of the ceiling only once a table may exceed it — see :meth:`_trim`);
+* lock contention (``SQLITE_BUSY``/``SQLITE_LOCKED``) is not corruption:
+  a contended read is a counted miss and a contended flush drops its
+  batch, never the file;
+* a corrupt or truncated file (other sqlite errors, unpicklable payloads)
+  is dropped and recreated once; if the path stays unusable the store
+  disables itself and the detector simply runs cold.
 """
 from __future__ import annotations
 
@@ -48,8 +54,11 @@ from ..sqlparser.fingerprint import AnnotationCache
 #: old files invalidate cleanly instead of unpickling garbage.
 FORMAT_VERSION = 1
 
-#: Row ceiling per cache table; the flush trims oldest-first beyond it.
+#: Row ceiling per cache table; a flush that may exceed it trims the
+#: oldest rows down to 7/8 of it.
 MAX_ROWS = 65536
+
+_TABLES = ("memo", "annotations", "corpus")
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
@@ -65,10 +74,18 @@ CREATE TABLE IF NOT EXISTS corpus (
 
 #: Invalidation reasons surfaced through metrics and :meth:`info`.
 REASON_FORMAT = "format-version"
-REASON_REGISTRY = "registry-change"
 REASON_CORRUPT_FILE = "corrupt-file"
 REASON_CORRUPT_ENTRY = "corrupt-entry"
 REASON_IO = "io-error"
+REASON_BUSY = "busy"
+
+_CONTENTION = (sqlite3.SQLITE_BUSY, sqlite3.SQLITE_LOCKED)
+
+
+def _contended(error: Exception) -> bool:
+    """True when *error* means another connection holds the lock."""
+    code = getattr(error, "sqlite_errorcode", None)
+    return code is not None and code & 0xFF in _CONTENTION
 
 
 class PersistentMemo:
@@ -82,9 +99,8 @@ class PersistentMemo:
     detection pass).
     """
 
-    def __init__(self, path, *, registry_digest: bytes, max_rows: int = MAX_ROWS):
+    def __init__(self, path, *, max_rows: int = MAX_ROWS):
         self.path = str(path)
-        self.registry_digest = registry_digest.hex()
         self.max_rows = max_rows
         self.hits = 0
         self.misses = 0
@@ -96,9 +112,14 @@ class PersistentMemo:
         self._pending: "list[tuple[str, tuple]]" = []
         try:
             self._connect()
-        except (sqlite3.Error, OSError, ValueError):
-            self._invalidate(REASON_CORRUPT_FILE)
-            self._recreate()
+        except (sqlite3.Error, OSError, ValueError) as error:
+            if _contended(error):
+                # Another process holds the write lock: run cold rather
+                # than delete a file that is busy, not broken.
+                self._invalidate(REASON_BUSY)
+            else:
+                self._invalidate(REASON_CORRUPT_FILE)
+                self._recreate()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -110,22 +131,14 @@ class PersistentMemo:
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.executescript(_SCHEMA)
             meta = dict(conn.execute("SELECT key, value FROM meta"))
-            stale = None
-            if meta and meta.get("format_version") != str(FORMAT_VERSION):
-                stale = REASON_FORMAT
-            elif meta and meta.get("registry_digest") != self.registry_digest:
-                stale = REASON_REGISTRY
-            if stale is not None or not meta:
-                if stale is not None:
-                    self._invalidate(stale)
-                for table in ("memo", "annotations", "corpus", "meta"):
+            if meta.get("format_version") != str(FORMAT_VERSION):
+                if meta:
+                    self._invalidate(REASON_FORMAT)
+                for table in (*_TABLES, "meta"):
                     conn.execute(f"DELETE FROM {table}")
-                conn.executemany(
-                    "INSERT INTO meta (key, value) VALUES (?, ?)",
-                    [
-                        ("format_version", str(FORMAT_VERSION)),
-                        ("registry_digest", self.registry_digest),
-                    ],
+                conn.execute(
+                    "INSERT INTO meta (key, value) VALUES ('format_version', ?)",
+                    (str(FORMAT_VERSION),),
                 )
             conn.commit()
         except (sqlite3.Error, OSError, ValueError):
@@ -196,15 +209,19 @@ class PersistentMemo:
     # ------------------------------------------------------------------
     # generic row access
     # ------------------------------------------------------------------
-    def _fetch(self, layer: str, sql: str, params: tuple) -> "object | None":
-        """One guarded SELECT returning the unpickled payload, or None."""
+    def _fetch(self, layer: str, sql: str, params: tuple) -> "tuple | None":
+        """One guarded SELECT: its columns with the trailing payload
+        unpickled, or None on a miss."""
         with self._lock:
             if self._conn is None:
                 return None
             try:
                 row = self._conn.execute(sql, params).fetchone()
-            except (sqlite3.Error, OSError):
-                self._io_failure()
+            except (sqlite3.Error, OSError) as error:
+                if _contended(error):
+                    self._count(layer, hit=False)
+                else:
+                    self._io_failure()
                 return None
             if row is None:
                 self._count(layer, hit=False)
@@ -217,7 +234,7 @@ class PersistentMemo:
                 self._count(layer, hit=False)
                 return None
             self._count(layer, hit=True)
-            return value
+            return (*row[:-1], value)
 
     def _buffer(self, table: str, row: tuple) -> None:
         with self._lock:
@@ -229,11 +246,12 @@ class PersistentMemo:
     # the three cache layers
     # ------------------------------------------------------------------
     def get_detections(self, scope: bytes, fp: str, raw: str) -> "list | None":
-        return self._fetch(
+        row = self._fetch(
             "memo",
             "SELECT payload FROM memo WHERE scope=? AND fingerprint=? AND raw=?",
             (scope.hex(), fp, raw),
         )
+        return row[0] if row else None
 
     def put_detections(self, scope: bytes, fp: str, raw: str, detections: list) -> None:
         payload = _dumps(detections)
@@ -242,28 +260,11 @@ class PersistentMemo:
 
     def get_annotations(self, dialect: str, raw: str) -> "tuple[str, object] | None":
         """Return ``(fingerprint, templates)`` for a cached parse, or None."""
-        with self._lock:
-            if self._conn is None:
-                return None
-            try:
-                row = self._conn.execute(
-                    "SELECT fingerprint, payload FROM annotations "
-                    "WHERE dialect=? AND raw=?",
-                    (dialect, raw),
-                ).fetchone()
-            except (sqlite3.Error, OSError):
-                self._io_failure()
-                return None
-            if row is None:
-                self._count("annotations", hit=False)
-                return None
-            value = _loads(row[1])
-            if value is None:
-                self._invalidate(REASON_CORRUPT_ENTRY)
-                self._count("annotations", hit=False)
-                return None
-            self._count("annotations", hit=True)
-            return row[0], value
+        return self._fetch(
+            "annotations",
+            "SELECT fingerprint, payload FROM annotations WHERE dialect=? AND raw=?",
+            (dialect, raw),
+        )
 
     def put_annotations(self, dialect: str, raw: str, fp: str, templates) -> None:
         payload = _dumps(templates)
@@ -271,10 +272,8 @@ class PersistentMemo:
             self._buffer("annotations", (dialect, raw, fp, payload))
 
     def get_corpus(self, key: str) -> "dict | None":
-        value = self._fetch(
-            "corpus", "SELECT payload FROM corpus WHERE key=?", (key,)
-        )
-        return value if isinstance(value, dict) else None
+        row = self._fetch("corpus", "SELECT payload FROM corpus WHERE key=?", (key,))
+        return row[0] if row and isinstance(row[0], dict) else None
 
     def put_corpus(self, key: str, payload: dict) -> None:
         blob = _dumps(payload)
@@ -293,7 +292,7 @@ class PersistentMemo:
     }
 
     def flush(self) -> None:
-        """Write buffered puts in one transaction and trim oversized tables."""
+        """Write buffered puts in one transaction and keep the row ceiling."""
         with self._lock:
             if self._conn is None or not self._pending:
                 self._pending.clear()
@@ -303,29 +302,40 @@ class PersistentMemo:
                 with self._conn:
                     for table, row in pending:
                         self._conn.execute(self._INSERTS[table], row)
-                    for table in ("memo", "annotations", "corpus"):
-                        self._conn.execute(
-                            f"DELETE FROM {table} WHERE rowid NOT IN "
-                            f"(SELECT rowid FROM {table} ORDER BY rowid DESC LIMIT ?)",
-                            (self.max_rows,),
-                        )
-            except (sqlite3.Error, OSError):
-                self._io_failure()
+                    # Inside the write transaction: no other process can
+                    # insert between a table's probe and its trim.
+                    entries = sum(self._trim(table) for table in _TABLES)
+            except (sqlite3.Error, OSError) as error:
+                if _contended(error):
+                    # The batch rolled back; the file is intact.
+                    self._invalidate(REASON_BUSY)
+                else:
+                    self._io_failure()
                 return
             metrics = get_metrics()
             if metrics.enabled:
-                metrics.persistent_memo_entries.set(self._total_rows())
+                metrics.persistent_memo_entries.set(entries)
 
-    def _total_rows(self) -> int:
-        if self._conn is None:
+    def _trim(self, table: str) -> int:
+        """Keep *table* within ``max_rows``; return a bound on its rows.
+
+        Every insert or replace takes rowid ``max + 1``, so the lowest
+        rowids are the oldest writes and the span ``max - min + 1`` bounds
+        the row count.  Each subquery holds one aggregate, which SQLite
+        answers from one end of the rowid b-tree: no scan.  Over the
+        ceiling, the oldest rows go down to 7/8 of it, so a full store
+        pays one range delete per ``max_rows // 8`` writes.
+        """
+        low, high = self._conn.execute(
+            f"SELECT (SELECT min(rowid) FROM {table}), (SELECT max(rowid) FROM {table})"
+        ).fetchone()
+        if high is None:
             return 0
-        try:
-            return sum(
-                self._conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
-                for table in ("memo", "annotations", "corpus")
-            )
-        except (sqlite3.Error, OSError):
-            return 0
+        if high - low < self.max_rows:
+            return high - low + 1
+        keep = self.max_rows - self.max_rows // 8
+        self._conn.execute(f"DELETE FROM {table} WHERE rowid <= ?", (high - keep,))
+        return keep
 
     def info(self) -> dict:
         """Occupancy + counter snapshot for health probes and ``memo_info``."""
@@ -340,7 +350,7 @@ class PersistentMemo:
             }
             if self._conn is not None:
                 try:
-                    for table in ("memo", "annotations", "corpus"):
+                    for table in _TABLES:
                         payload[f"{table}_rows"] = self._conn.execute(
                             f"SELECT COUNT(*) FROM {table}"
                         ).fetchone()[0]

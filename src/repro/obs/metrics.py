@@ -303,13 +303,13 @@ class MetricsRegistry:
         self.persistent_memo_invalidations = self.counter(
             f"{NAMESPACE}_persistent_memo_invalidations_total",
             "Persistent-memo entries or files invalidated, by reason "
-            "(registry-change/format-version/corrupt-file/corrupt-entry/"
-            "io-error).",
+            "(format-version/corrupt-file/corrupt-entry/io-error/busy).",
             ("reason",),
         )
         self.persistent_memo_entries = self.gauge(
             f"{NAMESPACE}_persistent_memo_entries",
-            "Rows resident in the persistent memo store after the last flush.",
+            "Upper bound on rows resident in the persistent memo store "
+            "(summed per-table rowid spans) after the last flush.",
         )
         # fused matcher: how much work the trigger automaton pre-filter skips
         self.prefilter_rules = self.counter(
